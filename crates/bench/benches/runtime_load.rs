@@ -8,9 +8,7 @@
 //! frames, adaptive egress flush); `sharded_nobatch/*` pins the same host
 //! with batching disabled (`flush_window = 0`, one envelope per frame —
 //! the PR 5 wire path) so the committed snapshot separates what batching
-//! buys from what the host costs. The `thread_per_process/*` entry is the
-//! frozen seed baseline (`newtop_runtime::legacy`) on the identical
-//! workload.
+//! buys from what the host costs.
 //!
 //! The workloads (32 nodes / 4 groups / window 8, and 8 nodes / 3 groups /
 //! window 8) match `newtop-exp load --window 8`; `sharded/256n8g` is the
@@ -81,14 +79,6 @@ fn bench_runtime_load(c: &mut Criterion) {
                     flush_window_us: Some(0),
                     ..cfg(HostKind::Sharded, 32, 4, DELIVERIES_32)
                 },
-                DELIVERIES_32,
-            );
-        });
-    });
-    g.bench_function("thread_per_process/32n4g", |b| {
-        b.iter(|| {
-            run_to_target(
-                &cfg(HostKind::ThreadPerProcess, 32, 4, DELIVERIES_32),
                 DELIVERIES_32,
             );
         });

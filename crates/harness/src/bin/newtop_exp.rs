@@ -13,7 +13,6 @@
 //! newtop-exp chaos --pin 42 --out f.chaos  # pin a seed as a replay script
 //!
 //! newtop-exp load --nodes 32 --groups 4 --secs 5          # runtime load test
-//! newtop-exp load --nodes 32 --host threads               # seed-host baseline
 //! newtop-exp load --host tcp --peers 127.0.0.1:7101,127.0.0.1:7102
 //!                                          # drive a real multi-process cluster
 //!
@@ -428,10 +427,8 @@ options:
   --mode sym|asym    ordering variant for every group (default sym)
   --payload B        application payload bytes, >= 8 (default 64)
   --window W         closed-loop in-flight messages per group (default 16)
-  --host sharded|threads|tcp
-                     host under test: the sharded event-loop host, the
-                     frozen thread-per-process baseline, or a real
-                     multi-process cluster of `newtop-exp serve`
+  --host sharded|tcp host under test: the sharded event-loop host or a
+                     real multi-process cluster of `newtop-exp serve`
                      processes (default sharded)
   --peers A,B,...    tcp host: the serve processes' control addresses,
                      cluster order (required with --host tcp)

@@ -14,16 +14,15 @@
 //! waiting for ω nulls). Each payload carries its send timestamp, so
 //! every member delivery yields one latency sample.
 //!
-//! Three hosts are drivable behind one surface — the sharded event-loop
-//! host, the frozen thread-per-process baseline
-//! ([`newtop_runtime::legacy`]), and a real multi-process TCP cluster
-//! reached through [`crate::remote::RemoteCluster`] — so a single
-//! binary A/Bs the schedulers and the wire: `newtop-exp load --host
-//! sharded` vs `--host threads` vs `--host tcp --peers …`.
+//! Two hosts are drivable behind one surface — the sharded event-loop
+//! host and a real multi-process TCP cluster reached through
+//! [`crate::remote::RemoteCluster`] — so a single binary A/Bs the
+//! in-process channel hop against the wire: `newtop-exp load --host
+//! sharded` vs `--host tcp --peers …`.
 
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use newtop_runtime::{legacy, Cluster, ClusterConfig, Output, WireStats};
+use newtop_runtime::{Cluster, ClusterConfig, Output, WireStats};
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, SendError, Span, SuspicionMode};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -35,8 +34,6 @@ use std::time::{Duration, Instant};
 pub enum HostKind {
     /// The sharded event-loop host (`newtop_runtime::Cluster`).
     Sharded,
-    /// The frozen thread-per-process baseline (`newtop_runtime::legacy`).
-    ThreadPerProcess,
     /// A real multi-process cluster of `newtop-exp serve` processes,
     /// reached over their control plane (`--peers` lists the control
     /// addresses, cluster order).
@@ -49,7 +46,6 @@ impl HostKind {
     pub fn as_str(self) -> &'static str {
         match self {
             HostKind::Sharded => "sharded",
-            HostKind::ThreadPerProcess => "threads",
             HostKind::Tcp => "tcp",
         }
     }
@@ -67,11 +63,8 @@ impl std::str::FromStr for HostKind {
     fn from_str(s: &str) -> Result<HostKind, String> {
         match s {
             "sharded" => Ok(HostKind::Sharded),
-            "threads" => Ok(HostKind::ThreadPerProcess),
             "tcp" => Ok(HostKind::Tcp),
-            other => Err(format!(
-                "unknown host '{other}' (expected sharded, threads or tcp)"
-            )),
+            other => Err(format!("unknown host '{other}' (expected sharded or tcp)")),
         }
     }
 }
@@ -179,10 +172,10 @@ pub struct LoadReport {
     pub shed: u64,
     /// Nodes killed mid-run by churn mode (0 outside `--churn`).
     pub killed: u64,
-    /// Exact wire accounting (sharded host only — the baseline never
-    /// serializes, which is part of what it gets wrong).
+    /// Exact wire accounting (`None` if a TCP peer did not answer the
+    /// stats query).
     pub wire: Option<WireStats>,
-    /// Shards actually used (1 for the baseline: irrelevant there).
+    /// Shards actually used (summed over the peers of a TCP cluster).
     pub shards_used: usize,
 }
 
@@ -212,35 +205,25 @@ impl LoadReport {
     }
 }
 
-/// Minimal host surface the driver needs; implemented by the in-process
-/// runtimes and by the remote-cluster client.
+/// Minimal host surface the driver needs; implemented by the sharded
+/// in-process host and by the remote-cluster client.
 pub(crate) trait Host: Sync {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError>;
-    /// Pipelined variant: enqueue the multicast and report the engine's
-    /// verdict on `reply` instead of blocking for it. The default (used
-    /// by the legacy host) degenerates to the blocking call, so the A/B
-    /// baseline keeps its original cost profile.
+    /// Enqueues the multicast and reports the engine's verdict on
+    /// `reply` instead of blocking for it; `false` if it could not be
+    /// enqueued at all.
     fn multicast_pipelined(
         &self,
         node: ProcessId,
         group: GroupId,
         payload: Bytes,
         reply: &Sender<Result<(), SendError>>,
-    ) -> bool {
-        let verdict = self.multicast(node, group, payload);
-        reply.send(verdict).is_ok()
-    }
+    ) -> bool;
     fn output_rx(&self, node: ProcessId) -> Receiver<Output>;
     fn wire_stats(&self) -> Option<WireStats>;
     fn shards_used(&self) -> usize;
 }
 
 impl Host for newtop_runtime::RunningCluster {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError> {
-        self.node(node)
-            .ok_or(SendError::NotMember { group })?
-            .multicast(group, payload)
-    }
     fn multicast_pipelined(
         &self,
         node: ProcessId,
@@ -263,9 +246,6 @@ impl Host for newtop_runtime::RunningCluster {
 }
 
 impl Host for crate::remote::RemoteCluster {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError> {
-        crate::remote::RemoteCluster::multicast(self, node, group, &payload)
-    }
     fn multicast_pipelined(
         &self,
         node: ProcessId,
@@ -283,23 +263,6 @@ impl Host for crate::remote::RemoteCluster {
     }
     fn shards_used(&self) -> usize {
         crate::remote::RemoteCluster::shards_used(self)
-    }
-}
-
-impl Host for legacy::RunningCluster {
-    fn multicast(&self, node: ProcessId, group: GroupId, payload: Bytes) -> Result<(), SendError> {
-        self.node(node)
-            .ok_or(SendError::NotMember { group })?
-            .multicast(group, payload)
-    }
-    fn output_rx(&self, node: ProcessId) -> Receiver<Output> {
-        self.node(node).expect("known node").outputs().clone()
-    }
-    fn wire_stats(&self) -> Option<WireStats> {
-        None
-    }
-    fn shards_used(&self) -> usize {
-        1
     }
 }
 
@@ -752,21 +715,6 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadReport, String> {
             running.shutdown();
             Ok(report)
         }
-        HostKind::ThreadPerProcess => {
-            let mut cluster = legacy::Cluster::new();
-            for i in 1..=cfg.nodes {
-                cluster.add_process(ProcessId(i));
-            }
-            for g in 0..cfg.groups {
-                cluster
-                    .bootstrap_group(GroupId(g + 1), group_members(cfg, g), group_config(cfg))
-                    .map_err(|e| format!("bootstrap group {}: {e}", g + 1))?;
-            }
-            let running = cluster.start();
-            let report = run_on(&running, cfg);
-            running.shutdown();
-            Ok(report)
-        }
         HostKind::Tcp => {
             if cfg.peers.is_empty() {
                 return Err("--host tcp needs the serve processes' control addresses".into());
@@ -811,22 +759,6 @@ mod tests {
         assert!(report.p50_us <= report.p99_us);
         let wire = report.wire.expect("sharded host accounts wire bytes");
         assert!(wire.frames > 0 && wire.bytes > wire.frames);
-    }
-
-    /// The baseline host runs the same workload (slower, unaccounted).
-    #[test]
-    fn thread_per_process_baseline_runs() {
-        let cfg = LoadConfig {
-            nodes: 4,
-            groups: 2,
-            secs: 0.4,
-            window: 4,
-            host: HostKind::ThreadPerProcess,
-            ..LoadConfig::default()
-        };
-        let report = run_load(&cfg).expect("baseline runs");
-        assert!(report.delivered > 0);
-        assert!(report.wire.is_none(), "baseline never serializes");
     }
 
     /// Asymmetric (sequencer) groups also sustain the closed loop.
@@ -955,7 +887,8 @@ mod tests {
     fn wan_profile_rejects_non_sharded_hosts() {
         assert!(run_load(&LoadConfig {
             wan_profile_kbps: Some(100),
-            host: HostKind::ThreadPerProcess,
+            host: HostKind::Tcp,
+            peers: vec!["127.0.0.1:1".parse().unwrap()],
             ..LoadConfig::default()
         })
         .is_err());
@@ -964,25 +897,24 @@ mod tests {
     /// Churn is a sharded-host feature; other hosts reject it up front.
     #[test]
     fn churn_rejects_non_sharded_hosts() {
-        for host in [HostKind::ThreadPerProcess, HostKind::Tcp] {
-            assert!(run_load(&LoadConfig {
-                churn: Some(1),
-                host,
-                peers: vec!["127.0.0.1:1".parse().unwrap()],
-                ..LoadConfig::default()
-            })
-            .is_err());
-        }
+        assert!(run_load(&LoadConfig {
+            churn: Some(1),
+            host: HostKind::Tcp,
+            peers: vec!["127.0.0.1:1".parse().unwrap()],
+            ..LoadConfig::default()
+        })
+        .is_err());
     }
 
     /// Every host kind round-trips through its CLI spelling.
     #[test]
     fn host_kind_round_trips_through_strings() {
-        for kind in [HostKind::Sharded, HostKind::ThreadPerProcess, HostKind::Tcp] {
+        for kind in [HostKind::Sharded, HostKind::Tcp] {
             let spelled = kind.to_string();
             assert_eq!(spelled.parse::<HostKind>(), Ok(kind), "{spelled}");
         }
         assert!("udp".parse::<HostKind>().is_err());
+        assert!("threads".parse::<HostKind>().is_err());
     }
 
     #[test]

@@ -14,8 +14,7 @@
 //!
 //! The application API — multicast, depart, dynamic group formation, and
 //! a stream of outputs (deliveries, view changes, protocol events) — is
-//! unchanged from the original thread-per-process host, which survives as
-//! [`legacy`] for A/B measurement (`newtop-exp load --host threads`).
+//! the same on the sharded and the TCP host.
 //!
 //! A shared partition control lets demos sever connectivity at runtime —
 //! messages crossing a cut are dropped, which models the paper's
@@ -53,7 +52,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod legacy;
 mod net;
 mod partition;
 mod shard;
@@ -133,17 +131,13 @@ fn default_shards() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Host-construction knobs shared by every cluster flavour — the
-/// sharded in-process host ([`Cluster::start`]), the TCP multi-process
-/// host ([`Cluster::start_tcp`]) and the [`legacy`] thread-per-process
-/// baseline ([`legacy::Cluster::with_config`]) are all built from one
-/// `ClusterConfig`, so a harness can construct any of them through the
-/// same value.
+/// Host-construction knobs shared by both cluster flavours — the
+/// sharded in-process host ([`Cluster::start`]) and the TCP
+/// multi-process host ([`Cluster::start_tcp`]) are built from one
+/// `ClusterConfig`, so a harness can construct either through the same
+/// value.
 ///
 /// Every knob is optional; an unset knob takes the host's default.
-/// Knobs a host has no use for (the legacy baseline has neither shards
-/// nor an egress) are accepted and ignored, so configs stay portable
-/// across hosts.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClusterConfig {
     shards: Option<usize>,

@@ -12,10 +12,7 @@
 //! destination node, one channel send per destination shard, and no
 //! channel at all for destinations this shard owns (those frames ride a
 //! local ring). Timers live in the shard's [`TimerWheel`]; partition
-//! state is re-read only when its version moves. Compare the seed: one
-//! thread per node, a polling `select!` over three channels, a fresh
-//! `after()` timer allocation per loop iteration and an `RwLock`-scan per
-//! frame.
+//! state is re-read only when its version moves.
 
 use crate::partition::{PartitionCtl, Snapshot};
 use crate::timer::TimerWheel;

@@ -1,9 +1,6 @@
 //! Per-shard deadline wheel.
 //!
-//! The seed host allocated a fresh [`crossbeam::channel::after`] timer
-//! channel on **every** event-loop iteration to wait for the engine's next
-//! deadline — an allocation plus a heap of polling machinery per message.
-//! Each shard instead keeps one [`TimerWheel`]: a `BinaryHeap` of
+//! Each shard keeps one [`TimerWheel`]: a `BinaryHeap` of
 //! `(deadline, node-slot)` entries with lazy invalidation. Scheduling is a
 //! comparison and (at most) one heap push; the event loop polls due
 //! entries once per batch and computes a single wait bound from the heap

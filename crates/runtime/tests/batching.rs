@@ -3,9 +3,9 @@
 //! co-located groups really does coalesce into shared frames.
 
 use bytes::Bytes;
-use newtop_runtime::Cluster;
+use newtop_runtime::{Cluster, RunningCluster, WireStats};
 use newtop_types::{GroupConfig, GroupId, OrderMode, ProcessId, Span};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn p(i: u32) -> ProcessId {
     ProcessId(i)
@@ -106,6 +106,21 @@ fn co_located_group_nulls_coalesce() {
     );
 }
 
+/// The wire counters once two reads 20 ms apart agree (traffic stopped).
+fn settled_stats(cluster: &RunningCluster) -> WireStats {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut last = cluster.wire_stats();
+    loop {
+        std::thread::sleep(Duration::from_millis(20));
+        let now = cluster.wire_stats();
+        if now == last {
+            return now;
+        }
+        assert!(Instant::now() < deadline, "wire counters never settled");
+        last = now;
+    }
+}
+
 /// With batching disabled every frame carries exactly one envelope — the
 /// histogram stays in the first bucket and occupancy is exactly 1.
 #[test]
@@ -119,7 +134,12 @@ fn unbatched_frames_carry_one_envelope() {
     cluster.flush_window(Duration::ZERO);
     let cluster = cluster.start();
     std::thread::sleep(Duration::from_millis(150));
-    let stats = cluster.wire_stats();
+    // The counters are separate atomics: a snapshot taken while frames
+    // flow can catch a frame already counted in one and not yet in
+    // another. Stop both nodes and read the counters once they settle.
+    cluster.kill(p(1));
+    cluster.kill(p(2));
+    let stats = settled_stats(&cluster);
     cluster.shutdown();
     assert!(stats.frames > 0);
     assert_eq!(stats.envelopes, stats.frames);

@@ -17,8 +17,7 @@
 //! * [`sim`] (`newtop-sim`) — the deterministic discrete-event network used
 //!   by tests and experiments;
 //! * [`runtime`] (`newtop-runtime`) — a sharded event-loop real-time host
-//!   with a framed wire transport (the seed's thread-per-process host
-//!   survives as `runtime::legacy` for A/B measurement);
+//!   and a TCP multi-process host over a framed wire transport;
 //! * [`baselines`] (`newtop-baselines`) — vector-clock causal multicast,
 //!   Lamport all-ack total order and bare-sequencer comparators;
 //! * [`harness`] (`newtop-harness`) — the E1–E10 experiment suite and the
