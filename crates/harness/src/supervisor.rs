@@ -478,26 +478,6 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
         for g in 0..cfg.groups {
             let anchor = anchor_of(cfg, g)?;
             let members = members_of(g, cfg.nodes, cfg.groups);
-            let gid = GroupId(next_gid);
-            next_gid += 1;
-            // The restarted peer's data links may still be dialing;
-            // give the formation a few attempts.
-            let deadline = Instant::now() + Duration::from_secs(20);
-            loop {
-                match cluster.form_group(anchor, gid, &members) {
-                    Ok(()) => break,
-                    Err(e) if Instant::now() < deadline => {
-                        tracking.sweep();
-                        std::thread::sleep(Duration::from_millis(200));
-                        let _ = e;
-                    }
-                    Err(e) => {
-                        return Err(format!(
-                            "cycle {cycle}: form group {gid:?} at {anchor}: {e}"
-                        ))
-                    }
-                }
-            }
             // Rejoin is proven when a *restarted* member reports the
             // new group active (the anchor's activation alone would
             // not show the victim came back).
@@ -510,14 +490,41 @@ pub fn run_supervisor(cfg: &SupervisorConfig) -> Result<SupervisorReport, String
                 .chain(std::iter::once(&anchor))
                 .map(|p| p.0)
                 .collect();
-            let activated = tracking.wait_until(Duration::from_secs(30), |t| {
-                wanted.iter().all(|n| t.active.contains(&(gid.0, *n)))
-            });
-            if !activated {
-                return Err(format!(
-                    "cycle {cycle}: group {gid:?} never activated at nodes {wanted:?}"
-                ));
-            }
+            // The restarted peer's data links may still be redialing
+            // (survivors back off up to 1 s), and the anchor, which
+            // votes last, vetoes an attempt whose votes miss its 1 s
+            // window. A vetoed attempt activates nowhere, so retry
+            // under a fresh id. Once the anchor has activated an
+            // attempt, a retry fails as a duplicate membership instead
+            // of forming a twin group; whichever attempt activates is
+            // the lineage's new generation.
+            let deadline = Instant::now() + Duration::from_secs(30);
+            let mut tried: Vec<GroupId> = Vec::new();
+            let mut retry_at = Instant::now();
+            let mut last_err = None;
+            let gid = loop {
+                if Instant::now() >= retry_at {
+                    let gid = GroupId(next_gid);
+                    next_gid += 1;
+                    tried.push(gid);
+                    last_err = cluster.form_group(anchor, gid, &members).err();
+                    retry_at = Instant::now() + Duration::from_secs(2);
+                }
+                tracking.sweep();
+                let active =
+                    |g: &&GroupId| wanted.iter().all(|n| tracking.active.contains(&(g.0, *n)));
+                if let Some(&gid) = tried.iter().find(active) {
+                    break gid;
+                }
+                if Instant::now() >= deadline {
+                    let why = last_err.map_or(String::new(), |e| format!(", last error {e}"));
+                    return Err(format!(
+                        "cycle {cycle}: lineage {g} never activated at nodes {wanted:?} \
+                         (attempts {tried:?}{why})"
+                    ));
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            };
             if rejoined.is_some() {
                 rejoins += 1;
             }

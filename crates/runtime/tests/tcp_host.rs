@@ -115,20 +115,26 @@ fn two_peer_multicast_roundtrip() {
 }
 
 /// A byte pump standing between one peer pair, with a kill switch that
-/// severs every live connection (both directions) on demand.
+/// severs every live connection (both directions) on demand, and a hold
+/// switch that keeps dialer-to-acceptor bytes in the pump instead of
+/// forwarding them.
 struct Pump {
     conns: Arc<Mutex<Vec<TcpStream>>>,
+    /// `Some` while holding: the bytes read from dialers and not passed on.
+    held: Arc<Mutex<Option<Vec<u8>>>>,
     stop: Arc<AtomicBool>,
 }
 
 impl Pump {
     fn start(listen: SocketAddr, upstream: SocketAddr) -> Pump {
         let conns: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
+        let held: Arc<Mutex<Option<Vec<u8>>>> = Arc::new(Mutex::new(None));
         let stop = Arc::new(AtomicBool::new(false));
         let listener = TcpListener::bind(listen).expect("pump bind");
         listener.set_nonblocking(true).expect("pump nonblocking");
         {
             let conns = Arc::clone(&conns);
+            let held = Arc::clone(&held);
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || loop {
                 if stop.load(Ordering::Relaxed) {
@@ -140,16 +146,31 @@ impl Pump {
                             continue;
                         };
                         client.set_nonblocking(false).ok();
-                        for (mut from, mut to) in [
-                            (client.try_clone().unwrap(), server.try_clone().unwrap()),
-                            (server.try_clone().unwrap(), client.try_clone().unwrap()),
+                        for (outbound, mut from, mut to) in [
+                            (
+                                true,
+                                client.try_clone().unwrap(),
+                                server.try_clone().unwrap(),
+                            ),
+                            (
+                                false,
+                                server.try_clone().unwrap(),
+                                client.try_clone().unwrap(),
+                            ),
                         ] {
+                            let held = Arc::clone(&held);
                             std::thread::spawn(move || {
                                 let mut buf = [0u8; 8192];
                                 loop {
                                     match from.read(&mut buf) {
                                         Ok(0) | Err(_) => break,
                                         Ok(n) => {
+                                            if outbound {
+                                                if let Some(h) = held.lock().unwrap().as_mut() {
+                                                    h.extend_from_slice(&buf[..n]);
+                                                    continue;
+                                                }
+                                            }
                                             if to.write_all(&buf[..n]).is_err() {
                                                 break;
                                             }
@@ -159,15 +180,15 @@ impl Pump {
                                 let _ = to.shutdown(Shutdown::Both);
                             });
                         }
-                        let mut held = conns.lock().unwrap();
-                        held.push(client);
-                        held.push(server);
+                        let mut live = conns.lock().unwrap();
+                        live.push(client);
+                        live.push(server);
                     }
                     Err(_) => std::thread::sleep(Duration::from_millis(2)),
                 }
             });
         }
-        Pump { conns, stop }
+        Pump { conns, held, stop }
     }
 
     /// Severs every live proxied connection; new dials still succeed.
@@ -175,6 +196,24 @@ impl Pump {
         for c in self.conns.lock().unwrap().drain(..) {
             let _ = c.shutdown(Shutdown::Both);
         }
+    }
+
+    /// Stops forwarding dialer-to-acceptor bytes; they pile up in the
+    /// pump, so the dialer's records stay unacknowledged.
+    fn hold(&self) {
+        *self.held.lock().unwrap() = Some(Vec::new());
+    }
+
+    /// How often `marker` occurs in the held bytes.
+    fn held_count(&self, marker: &[u8]) -> usize {
+        self.held.lock().unwrap().as_deref().map_or(0, |h| {
+            h.windows(marker.len()).filter(|w| *w == marker).count()
+        })
+    }
+
+    /// Resumes forwarding; the held bytes are discarded, never delivered.
+    fn release(&self) {
+        *self.held.lock().unwrap() = None;
     }
 }
 
@@ -187,9 +226,13 @@ impl Drop for Pump {
 
 /// Kill the socket mid-multicast: the link manager must reconnect, the
 /// resume handshake must retransmit exactly the unacknowledged frames,
-/// and the receiving engine must see every message once, in order.
+/// and the receiving engine must see every message once, in order. The
+/// backlog at the sever holds more records than one writer burst
+/// carries, so the resume retransmits records retained from several
+/// burst buffers.
 #[test]
 fn reconnect_resumes_delivery_without_loss_or_duplicates() {
+    const HELD: usize = 150;
     let a0 = free_addr();
     let a1 = free_addr();
     let proxied_a1 = free_addr();
@@ -206,8 +249,9 @@ fn reconnect_resumes_delivery_without_loss_or_duplicates() {
         .start_tcp(TcpConfig::new(vec![a0, a1], 1, owners.clone()))
         .expect("peer 1 binds");
 
-    // Peer 0 reaches peer 1 only through the pump.
-    let mut peer0 = Cluster::new();
+    // Peer 0 reaches peer 1 only through the pump. No egress batching:
+    // every multicast is its own record on the link.
+    let mut peer0 = Cluster::with_config(ClusterConfig::new().flush_window(Duration::ZERO));
     peer0.add_process(p(1));
     peer0
         .bootstrap_group_local(g, [p(1), p(2)], tcp_cfg())
@@ -228,31 +272,39 @@ fn reconnect_resumes_delivery_without_loss_or_duplicates() {
             })
             .collect()
     };
+    let multicast = |ks: std::ops::Range<usize>| {
+        for k in ks {
+            peer0
+                .node(p(1))
+                .unwrap()
+                .multicast(g, Bytes::from(format!("msg-{k:04}")))
+                .unwrap();
+        }
+    };
 
-    for k in 0..10 {
-        peer0
-            .node(p(1))
-            .unwrap()
-            .multicast(g, Bytes::from(format!("m{k}")))
-            .unwrap();
-    }
+    multicast(0..10);
     let first = deliver(10);
 
-    // Sever while the link is hot, then keep multicasting immediately:
-    // some of these frames race the reconnect and must be buffered or
-    // retransmitted, never lost.
-    pump.sever();
-    for k in 10..25 {
-        peer0
-            .node(p(1))
-            .unwrap()
-            .multicast(g, Bytes::from(format!("m{k}")))
-            .unwrap();
+    // Hold the link until every record of the next multicasts has been
+    // written to the old connection and none acknowledged.
+    pump.hold();
+    multicast(10..10 + HELD);
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while pump.held_count(b"msg-") < HELD {
+        assert!(Instant::now() < deadline, "records never reached the pump");
+        std::thread::sleep(Duration::from_millis(2));
     }
-    let rest = deliver(15);
+
+    // Sever with that backlog in flight, then keep multicasting
+    // immediately: these frames race the reconnect and must be
+    // buffered or retransmitted, never lost.
+    pump.sever();
+    pump.release();
+    multicast(10 + HELD..25 + HELD);
+    let rest = deliver(15 + HELD);
 
     let got: Vec<String> = first.into_iter().chain(rest).collect();
-    let want: Vec<String> = (0..25).map(|k| format!("m{k}")).collect();
+    let want: Vec<String> = (0..25 + HELD).map(|k| format!("msg-{k:04}")).collect();
     assert_eq!(
         got, want,
         "no loss, no duplicate, no reordering across the sever"
